@@ -41,16 +41,6 @@ Package map:
 ==================  =====================================================
 """
 
-# The compiled-core selector MUST run before anything below imports a
-# hot module (repro.sim.kernel and friends): it aliases the mypyc twins
-# over the canonical names in sys.modules, and an already-imported pure
-# module could not be swapped out safely.  Importing any repro submodule
-# imports this package first, so this really is the first repro code to
-# run in a process.
-from repro import _compiled as _compiled_selector
-
-_compiled_selector.activate()
-
 from repro.analytic import (
     FIG3_WAN_PARAMS,
     V_PARAMS,
@@ -113,25 +103,7 @@ from repro.workload import (
 
 __version__ = "1.0.0"
 
-# Aliased hot modules skip the parent-attribute binding a first import
-# performs; patch the attributes now that every parent package exists.
-_compiled_selector.bind_parents()
-
-
-def build_info() -> dict:
-    """Which hot-core implementation is live in this process.
-
-    Returns a dict with ``build`` (``"pure"`` — the default —
-    ``"compiled"``, ``"pure-twin"`` or ``"mixed"``), ``reason``, and a
-    per-module ``modules`` map.  Benchmarks record this block so a
-    compiled run is never gated against a pure pin (and vice versa).
-    """
-    return _compiled_selector.info()
-
-
 __all__ = [
-    # build selection
-    "build_info",
     # core mechanism
     "Lease",
     "LeaseTable",

@@ -17,8 +17,28 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import time
 from typing import Callable, TextIO
+
+
+def percentile(sorted_values: list[float], fraction: float) -> float:
+    """Nearest-rank percentile of an already-sorted list.
+
+    The value at rank ``ceil(fraction * n)`` (1-based, at least 1): the
+    smallest sample with at least ``fraction`` of the samples at or
+    below it.
+
+    Args:
+        sorted_values: non-empty ascending values.
+        fraction: in [0, 1].
+    """
+    if not sorted_values:
+        raise ValueError("no values")
+    if not 0.0 <= fraction <= 1.0:
+        raise ValueError(f"fraction out of range: {fraction}")
+    rank = max(1, math.ceil(fraction * len(sorted_values)))
+    return sorted_values[rank - 1]
 
 
 class Counter:
@@ -84,11 +104,7 @@ class Histogram:
         """Nearest-rank percentile over the retained sample window."""
         if not self._samples:
             raise ValueError(f"histogram {self.name} is empty")
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError(f"fraction out of range: {fraction}")
-        ordered = sorted(self._samples)
-        rank = max(1, round(fraction * len(ordered)))
-        return ordered[rank - 1]
+        return percentile(sorted(self._samples), fraction)
 
     def __repr__(self) -> str:
         return f"Histogram({self.name}, n={self.count}, mean={self.mean:.6g})"

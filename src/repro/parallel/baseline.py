@@ -63,36 +63,6 @@ def machine_block() -> dict:
     }
 
 
-def build_block() -> dict:
-    """The ``build`` metadata block: which hot-core implementation ran.
-
-    Recorded by every benchmark report so the gates compare like for
-    like — a compiled run is never judged against a pure pin (or vice
-    versa); see :func:`build_drift`.
-    """
-    import repro
-
-    return {"build": repro.build_info()["build"]}
-
-
-def build_drift(current: dict, baseline: dict) -> str | None:
-    """Describe a hot-core build mismatch, or ``None`` when comparable.
-
-    Mirrors :func:`machine_drift`: a pure-python run gated against a
-    baseline pinned from a compiled build (or vice versa) would report a
-    phantom regression of the whole compilation speedup, so throughput
-    deltas across a build mismatch are demoted to warnings.  Semantic
-    checks (event counts, determinism, job mix) are byte-identical
-    across builds by the equivalence contract and still fail hard.
-    Baselines predating the ``build`` block compare as pure.
-    """
-    cur = (current.get("build") or {}).get("build", "pure")
-    base = (baseline.get("build") or {}).get("build", "pure")
-    if cur == base:
-        return None
-    return f"hot-core build drifted (baseline {base!r}, current {cur!r})"
-
-
 def pinned_mix_sha(
     jobs: int = PINNED_JOBS,
     base_seed: int = PINNED_BASE_SEED,
@@ -195,7 +165,6 @@ def run_benchmark(
             "speedup": serial_s / parallel_s,
         },
         "machine": machine_block(),
-        "build": build_block(),
     }
 
 
@@ -269,14 +238,6 @@ def compare(
             "re-pinned on this runner with `python benchmarks/bench_sweep.py "
             "--pin`"
         )
-    bdrift = build_drift(current, baseline)
-    if bdrift:
-        verdict.warn(
-            f"{bdrift}: a compiled run is not gated against a pure pin "
-            "(nor the reverse); re-pin with the matching build to restore "
-            "the hard gate"
-        )
-        drift = drift or bdrift
     if current.get("job_mix") != baseline.get("job_mix"):
         verdict.fail(
             f"job mix changed (baseline {baseline.get('job_mix')}, "

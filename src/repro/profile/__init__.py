@@ -37,19 +37,16 @@ from typing import Any, Callable
 #: filename; first match wins.  Fragments are matched against the path
 #: normalized to forward slashes.
 SUBSYSTEMS: tuple[tuple[str, tuple[str, ...]], ...] = (
-    # The _hot/ fragments claim the generated twins of each hot module
-    # (which may be staged outside the repo tree via REPRO_HOT_DIR, so
-    # no repro/ prefix can be assumed).
-    ("kernel", ("repro/sim/kernel.py", "_hot/kernel.py")),
-    ("network", ("repro/sim/network.py", "repro/sim/host.py", "_hot/network.py")),
+    ("kernel", ("repro/sim/kernel.py",)),
+    ("network", ("repro/sim/network.py", "repro/sim/host.py")),
     ("driver", (
         "repro/sim/driver.py",
         "repro/sim/faults.py",
         "repro/sim/oracle.py",
         "repro/sim/timeline.py",
     )),
-    ("protocol", ("repro/protocol/", "_hot/messages.py", "_hot/codec.py")),
-    ("lease", ("repro/lease/", "_hot/table.py")),
+    ("protocol", ("repro/protocol/",)),
+    ("lease", ("repro/lease/",)),
     ("obs", ("repro/obs/",)),
     ("harness", ("repro/check/", "repro/parallel/", "repro/profile/")),
     ("support", (
@@ -58,52 +55,7 @@ SUBSYSTEMS: tuple[tuple[str, tuple[str, ...]], ...] = (
         "repro/clock/",
         "repro/types.py",
         "repro/errors.py",
-        "_hot/filecache.py",
     )),
-)
-
-
-#: Module-name fallback for frames with no usable filename.  mypyc
-#: compiles the hot twins to C, so their functions profile like builtins
-#: (pstats filename ``~``) and filename classification finds nothing;
-#: the *entry name* still carries the module or native-class name
-#: (``<built-in method repro._hot.kernel...>``, ``<method 'run' of
-#: 'kernel.Kernel' objects>``), which these fragments recover.  First
-#: match wins.
-MODULE_SUBSYSTEMS: tuple[tuple[str, str], ...] = (
-    ("repro._hot.kernel", "kernel"),
-    ("repro.sim.kernel", "kernel"),
-    ("repro._hot.network", "network"),
-    ("repro.sim.network", "network"),
-    ("repro._hot.table", "lease"),
-    ("repro.lease.table", "lease"),
-    ("repro._hot.filecache", "support"),
-    ("repro.cache.filecache", "support"),
-    ("repro._hot.messages", "protocol"),
-    ("repro.protocol.messages", "protocol"),
-    ("repro._hot.codec", "protocol"),
-    ("repro.protocol.codec", "protocol"),
-    # Native-class method entries name only the class, not the module.
-    ("of 'kernel.Kernel'", "kernel"),
-    ("of 'kernel.EventHandle'", "kernel"),
-    ("of 'network.Network'", "network"),
-    ("of 'network.MessageStats'", "network"),
-    ("of 'table.LeaseTable'", "lease"),
-    ("of 'table.PendingWrite'", "lease"),
-    ("of 'filecache.FileCache'", "support"),
-    ("of 'filecache.CacheEntry'", "support"),
-    ("of 'filecache.CacheStats'", "support"),
-    ("of 'filecache.TempFileStore'", "support"),
-    # ...and some mypy/mypyc versions use the bare class name.
-    ("of 'Kernel'", "kernel"),
-    ("of 'EventHandle'", "kernel"),
-    ("of 'Network'", "network"),
-    ("of 'MessageStats'", "network"),
-    ("of 'LeaseTable'", "lease"),
-    ("of 'PendingWrite'", "lease"),
-    ("of 'FileCache'", "support"),
-    ("of 'CacheEntry'", "support"),
-    ("of 'TempFileStore'", "support"),
 )
 
 
@@ -121,23 +73,6 @@ def classify(filename: str) -> str:
                 return name
     if "repro/" in path:
         return "other"
-    return "builtin"
-
-
-def classify_entry(filename: str, name: str) -> str:
-    """Classify one profiled entry, falling back to its name.
-
-    Like :func:`classify`, but a frame the filename cannot place (a
-    mypyc-compiled hot function, reported builtin-style) is recovered
-    from the function/method *name* via :data:`MODULE_SUBSYSTEMS` before
-    landing in ``builtin``.
-    """
-    sub = classify(filename)
-    if sub != "builtin":
-        return sub
-    for fragment, label in MODULE_SUBSYSTEMS:
-        if fragment in name:
-            return label
     return "builtin"
 
 
@@ -163,11 +98,8 @@ class ProfileReport:
 
     def to_dict(self) -> dict:
         """The JSON-artifact form (everything except the live stats)."""
-        import repro
-
         return {
             "label": self.label,
-            "build": repro.build_info(),
             "total_tottime": self.total_tottime,
             "subsystems": self.subsystems,
             "top_functions": self.top_functions,
@@ -205,7 +137,7 @@ def attribute(stats: pstats.Stats, label: str, top: int = 15) -> ProfileReport:
     rows = []
     total = 0.0
     for (filename, line, name), (cc, nc, tt, ct, callers) in stats.stats.items():
-        sub = classify_entry(filename, name)
+        sub = classify(filename)
         bucket = per_sub.setdefault(sub, {"tottime": 0.0, "calls": 0.0})
         bucket["tottime"] += tt
         bucket["calls"] += nc
@@ -240,23 +172,14 @@ def compare_reports(before: dict, after: dict) -> str:
 
     Returns an aligned table of per-subsystem self time and share for
     both runs with absolute deltas, sorted by the magnitude of the
-    self-time change — the before/after report for a perf PR, including
-    pure-vs-compiled comparisons (each run's build is shown when the
-    artifacts recorded one).
+    self-time change — the before/after report for a perf PR.
     """
-    lines = []
-    before_build = (before.get("build") or {}).get("build")
-    after_build = (after.get("build") or {}).get("build")
-    lines.append(
+    lines = [
         f"before: {before.get('label', '?')}"
-        + (f" [{before_build}]" if before_build else "")
-        + f"  total {before.get('total_tottime', 0.0):.3f}s"
-    )
-    lines.append(
+        f"  total {before.get('total_tottime', 0.0):.3f}s",
         f"after:  {after.get('label', '?')}"
-        + (f" [{after_build}]" if after_build else "")
-        + f"  total {after.get('total_tottime', 0.0):.3f}s"
-    )
+        f"  total {after.get('total_tottime', 0.0):.3f}s",
+    ]
     a_subs: dict = before.get("subsystems", {})
     b_subs: dict = after.get("subsystems", {})
     names = sorted(

@@ -13,8 +13,7 @@ individual functions.
 
 ``--compare a.json b.json`` instead diffs two previously written
 attribution artifacts (before -> after) and prints the per-subsystem
-delta table — the before/after evidence for a perf change, including
-pure-vs-compiled runs.
+delta table — the before/after evidence for a perf change.
 """
 
 from __future__ import annotations

@@ -38,8 +38,6 @@ from repro.parallel.baseline import (
     PINNED_JOBS,
     BaselineComparison,
     bench_job,
-    build_block,
-    build_drift,
     load_report,
     machine_block,
     machine_drift,
@@ -195,7 +193,6 @@ def run_benchmark(jobs: int = PINNED_JOBS, trials: int = TRIALS) -> dict:
         "workers": 1,
         "workloads": {},
         "machine": machine_block(),
-        "build": build_block(),
     }
     for name, workload in (
         ("core", core_workload),
@@ -221,11 +218,8 @@ def compare(
     workload's events/sec dropped more than ``tolerance``.  Throughput
     drops are demoted to warnings when the ``machine`` block differs
     from the baseline's (see
-    :func:`repro.parallel.baseline.machine_drift`) or when the hot-core
-    build differs (:func:`repro.parallel.baseline.build_drift` — a
-    compiled run is never gated against a pure pin); the event-count and
-    mix checks still fail hard, since the equivalence contract makes
-    counts byte-identical across builds.
+    :func:`repro.parallel.baseline.machine_drift`); the event-count and
+    mix checks still fail hard.
     """
     verdict = BaselineComparison()
     drift = machine_drift(current, baseline)
@@ -235,14 +229,6 @@ def compare(
             "re-pinned on this runner with `python benchmarks/bench_core.py "
             "--pin`"
         )
-    bdrift = build_drift(current, baseline)
-    if bdrift:
-        verdict.warn(
-            f"{bdrift}: a compiled run is never gated against a pure pin "
-            "(nor the reverse); compare like-for-like or re-pin with the "
-            "matching build"
-        )
-        drift = drift or bdrift
     if current.get("job_mix") != baseline.get("job_mix"):
         verdict.fail(
             f"job mix changed (baseline {baseline.get('job_mix')}, "
@@ -300,13 +286,6 @@ def main(argv: list[str] | None = None) -> int:
                         "(commit the result)")
     parser.add_argument("--tolerance", type=float, default=TOLERANCE,
                         help="allowed fractional events/sec drop for --check")
-    parser.add_argument("--speedup-vs", default=None, metavar="PATH",
-                        help="reference report (e.g. a pure-path --out run): "
-                        "require this run's core events/sec to be at least "
-                        "--min-speedup times the reference's")
-    parser.add_argument("--min-speedup", type=float, default=2.0,
-                        help="required core speedup for --speedup-vs "
-                        "(default 2.0)")
     args = parser.parse_args(argv)
 
     report = run_benchmark(jobs=args.jobs, trials=args.trials)
@@ -334,25 +313,6 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"PERF GATE FAIL: {line}", file=sys.stderr)
             return 1
         print("perf gate ok", file=sys.stderr)
-    if args.speedup_vs:
-        reference = load_report(args.speedup_vs)
-        ref = reference["workloads"]["core"]["events_per_sec"]
-        cur = report["workloads"]["core"]["events_per_sec"]
-        speedup = cur / ref
-        ref_build = (reference.get("build") or {}).get("build", "pure")
-        cur_build = (report.get("build") or {}).get("build", "pure")
-        print(
-            f"core speedup vs {args.speedup_vs} "
-            f"({ref_build} -> {cur_build}): {speedup:.2f}x",
-            file=sys.stderr,
-        )
-        if speedup < args.min_speedup:
-            print(
-                f"SPEEDUP GATE FAIL: {speedup:.2f}x < required "
-                f"{args.min_speedup:.2f}x",
-                file=sys.stderr,
-            )
-            return 1
     return 0
 
 

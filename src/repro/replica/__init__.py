@@ -21,7 +21,7 @@ under §5 clock faults.  This package replicates the authority:
 * :mod:`repro.replica.node` — the asyncio runtime replica,
   SIGKILL-able for chaos testing.
 
-The handoff invariant (DESIGN.md §17): a newly elected master may not
+The handoff invariant (DESIGN.md §16): a newly elected master may not
 grant or commit anything until the prior master's outstanding file leases
 *and* residual master-lease belief have provably expired on the new
 master's own drift-compensated clock (:func:`repro.clock.sync.safe_waitout`).

@@ -10,7 +10,7 @@ this repo).  Three states:
   master.  A periodic election tick starts a proposer round when no
   unexpired lease is known locally.
 * **waiting** — won the master lease, but may not serve yet: the handoff
-  invariant (DESIGN.md §17) requires the prior master's residual
+  invariant (DESIGN.md §16) requires the prior master's residual
   mastership belief *and* every file lease it may have granted to have
   expired on **our** clock, drift-compensated
   (:func:`repro.clock.sync.safe_waitout`).  Client requests received in
@@ -372,7 +372,7 @@ class ReplicaEngine:
         # expired at some acceptor of our prepare majority, which bounds
         # its residual belief by one drift-stretched master term, and any
         # file lease it granted within that belief by one more
-        # drift-stretched max file term (DESIGN.md §17 walks the algebra).
+        # drift-stretched max file term (DESIGN.md §16 walks the algebra).
         # A virgin election — every counted promise reported zero lifetime
         # accepts — proves there is nothing to wait out.
         self.state = WAITING

@@ -1,4 +1,4 @@
-"""Asyncio host for the replicated lease authority (DESIGN.md §17).
+"""Asyncio host for the replicated lease authority (DESIGN.md §16).
 
 :class:`ReplicaServerNode` drives one :class:`~repro.replica.engine.
 ReplicaEngine` over a real transport, the same way

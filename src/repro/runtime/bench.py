@@ -45,10 +45,9 @@ import time
 
 from repro.errors import ReproError
 from repro.lease.policy import FixedTermPolicy
+from repro.obs.registry import percentile
 from repro.parallel.baseline import (
     BaselineComparison,
-    build_block,
-    build_drift,
     load_report,
     machine_block,
     machine_drift,
@@ -252,19 +251,14 @@ async def _run_load(
     latencies.sort()
     requests = len(latencies)
 
-    def percentile(p: float) -> float:
-        if not latencies:
-            return 0.0
-        return latencies[min(requests - 1, int(p * requests))]
-
     metrics = {
         "requests": requests,
         "failures": failures,
         "dropped_frames": hub.dropped,
         "wall_s": wall_s,
         "requests_per_sec": requests / wall_s if wall_s else 0.0,
-        "p50_ms": percentile(0.50),
-        "p99_ms": percentile(0.99),
+        "p50_ms": percentile(latencies, 0.50) if latencies else 0.0,
+        "p99_ms": percentile(latencies, 0.99) if latencies else 0.0,
         "batches_sent": batches_sent,
         "batched_ops": batched_ops,
     }
@@ -330,7 +324,6 @@ def run_benchmark(
         "job_mix": job_mix,
         "metrics": metrics,
         "machine": machine_block(),
-        "build": build_block(),
     }
 
 
@@ -354,14 +347,6 @@ def compare(
             "re-pinned on this runner with `python benchmarks/bench_runtime.py "
             "--pin`"
         )
-    bdrift = build_drift(current, baseline)
-    if bdrift:
-        verdict.warn(
-            f"{bdrift}: a compiled run is never gated against a pure pin "
-            "(nor the reverse); compare like-for-like or re-pin with the "
-            "matching build"
-        )
-        drift = drift or bdrift
     if current.get("job_mix") != baseline.get("job_mix"):
         verdict.fail(
             f"job mix changed (baseline {baseline.get('job_mix')}, "

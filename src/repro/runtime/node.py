@@ -47,6 +47,9 @@ class _EngineNode:
         # node is constructed before asyncio.run().
         self._bound_loop: asyncio.AbstractEventLoop | None = None
         self._send_tasks: set[asyncio.Task] = set()
+        #: Sends whose transport call raised (dropped frames), counted
+        #: whether or not tracing is on.
+        self.send_failures = 0
         transport.set_handler(self._on_message)
 
     @property
@@ -116,12 +119,16 @@ class _EngineNode:
         # A send cancelled during close() is not a failure, and calling
         # task.exception() on it would raise CancelledError right here in
         # the callback (unobserved-exception noise).  A send that failed
-        # for real is a dropped frame: observable, never silent.
+        # for real is a dropped frame: counted always, traced when a bus
+        # is listening.
         self._send_tasks.discard(task)
         if task.cancelled():
             return
         exc = task.exception()
-        if exc is not None and self.obs.active:
+        if exc is None:
+            return
+        self.send_failures += 1
+        if self.obs.active:
             self.obs.emit(
                 TRANSPORT_DROP, self.clock.now(), self.name,
                 dst=dst, kind=kind, reason=type(exc).__name__,

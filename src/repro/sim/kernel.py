@@ -14,9 +14,9 @@ stops before reaching the payload.  The wheel buckets events by
 as a sorted list consumed by index (``_due``/``_due_pos``), future
 buckets are unsorted append-only lists adopted (and sorted once) in slot
 order, and a plain heap (``_far``) catches deadlines past the wheel's
-horizon.  With the wheel disabled every entry takes the ``_far`` heap,
-which is the classic event-heap the wheel replaced — the equivalence
-suite runs both and demands byte-identical traces.
+horizon (and ``inf``).  The golden-digest suite pins the resulting
+event order byte for byte against the classic event heap the wheel
+replaced.
 
 Two scheduling fast paths exist for hot, never-cancelled events:
 :meth:`Kernel.post_at` skips the :class:`EventHandle` allocation, and
@@ -43,35 +43,6 @@ from typing import Any, Callable
 
 from repro.errors import SimulationError
 from repro.obs.events import KERNEL_COMPACT
-
-#: Process-wide fast-path defaults, captured by each :class:`Kernel` at
-#: construction.  Module globals (not class attributes) on purpose: the
-#: compiled build forbids class-attribute monkeypatching, so the
-#: equivalence suite flips these through :func:`set_fast_paths` instead.
-_default_inline = True
-_default_wheel = True
-
-
-def set_fast_paths(
-    inline: bool | None = None, wheel: bool | None = None
-) -> tuple[bool, bool]:
-    """Set the fast-path defaults for kernels built after this call.
-
-    ``None`` leaves a flag unchanged.  Returns the previous
-    ``(inline, wheel)`` pair so callers can restore it.
-    """
-    global _default_inline, _default_wheel
-    previous = (_default_inline, _default_wheel)
-    if inline is not None:
-        _default_inline = inline
-    if wheel is not None:
-        _default_wheel = wheel
-    return previous
-
-
-def get_fast_paths() -> tuple[bool, bool]:
-    """The current ``(inline, wheel)`` fast-path defaults."""
-    return (_default_inline, _default_wheel)
 
 #: Minimum number of cancelled entries before compaction is considered;
 #: below this the dead weight is cheaper than a rebuild.
@@ -138,12 +109,6 @@ class Kernel:
         executed: total events fired so far — the denominator of the
             harness's throughput metric (simulated events per wall
             second, see ``repro.parallel.baseline``).
-        inline: arm the :meth:`defer` inline continuation (captured from
-            :func:`set_fast_paths` at construction; the equivalence
-            suite flips it to pit the fast path against plain
-            scheduling).
-        wheel: use the timer wheel (captured at construction; when
-            False every entry takes the fallback heap).
     """
 
     def __init__(self, seed: int = 0, obs: Any = None):
@@ -157,11 +122,6 @@ class Kernel:
         self.executed = 0
         self.rng = random.Random(seed)
         self.obs = obs
-        #: Fast-path switches, captured from the module defaults (see
-        #: :func:`set_fast_paths`) so one kernel's configuration is
-        #: immutable for its lifetime.
-        self.inline = _default_inline
-        self.wheel = _default_wheel
         # -- timer wheel state (see module docstring) --
         self._due: list[tuple] = []  # draining bucket, sorted
         self._due_pos = 0  # next index to consume in _due
@@ -169,7 +129,6 @@ class Kernel:
         self._buckets: dict[int, list[tuple]] = {}  # future slots, unsorted
         self._slots: list[int] = []  # heap of occupied future slot ids
         self._far: list[tuple] = []  # heap for beyond-horizon deadlines
-        self._cutoff = _FAR_CUTOFF if self.wheel else 0.0
         self._horizon: float | None = None  # run(until=...) bound
         self._in_run = False  # inside run()'s loop (defer may inline)
 
@@ -188,7 +147,7 @@ class Kernel:
         entry = (time, self._seq, handle, fn, args)
         self._seq += 1
         self._live += 1
-        if time < self._cutoff:
+        if time < _FAR_CUTOFF:
             slot = int(time * _INV_GRANULARITY)
             if slot > self._cur_slot:
                 bucket = self._buckets.get(slot)
@@ -234,7 +193,7 @@ class Kernel:
         entry = (time, self._seq, None, fn, args)
         self._seq += 1
         self._live += 1
-        if time < self._cutoff:
+        if time < _FAR_CUTOFF:
             slot = int(time * _INV_GRANULARITY)
             if slot > self._cur_slot:
                 bucket = self._buckets.get(slot)
@@ -276,7 +235,7 @@ class Kernel:
 
         Otherwise it degrades to a normal handle-less insertion.
         """
-        if self._in_run and self.inline and time >= self.now:
+        if self._in_run and time >= self.now:
             horizon = self._horizon
             if horizon is None or time <= horizon:
                 due = self._due
@@ -317,7 +276,7 @@ class Kernel:
         entry = (time, self._seq, None, fn, args)
         self._seq += 1
         self._live += 1
-        if time < self._cutoff:
+        if time < _FAR_CUTOFF:
             slot = int(time * _INV_GRANULARITY)
             if slot > self._cur_slot:
                 bucket = self._buckets.get(slot)
@@ -339,7 +298,7 @@ class Kernel:
         """:meth:`defer` taking a prebuilt argument tuple (see
         :meth:`post_args`).  The inline-execution soundness argument is
         :meth:`defer`'s, unchanged."""
-        if self._in_run and self.inline and time >= self.now:
+        if self._in_run and time >= self.now:
             horizon = self._horizon
             if horizon is None or time <= horizon:
                 due = self._due
@@ -375,7 +334,7 @@ class Kernel:
         entry = (time, self._seq, handle, fn, args)
         self._seq += 1
         self._live += 1
-        if time < self._cutoff:
+        if time < _FAR_CUTOFF:
             slot = int(time * _INV_GRANULARITY)
             if slot > self._cur_slot:
                 bucket = self._buckets.get(slot)

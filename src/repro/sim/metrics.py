@@ -9,10 +9,13 @@ builds one from driver results.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable
 
+# The one nearest-rank percentile, shared with repro.obs.Histogram and
+# re-exported here for the experiment and benchmark code that imports it
+# from this module.
+from repro.obs.registry import percentile
 from repro.sim.driver import OpResult
 
 
@@ -44,21 +47,6 @@ class LatencySummary:
             f"p99={1e3 * self.p99:.3f}ms max={1e3 * self.max:.3f}ms "
             f"hits={self.zero_fraction:.0%}"
         )
-
-
-def percentile(sorted_values: list[float], fraction: float) -> float:
-    """Nearest-rank percentile of an already-sorted list.
-
-    Args:
-        sorted_values: non-empty ascending values.
-        fraction: in [0, 1].
-    """
-    if not sorted_values:
-        raise ValueError("no values")
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError(f"fraction out of range: {fraction}")
-    rank = max(1, math.ceil(fraction * len(sorted_values)))
-    return sorted_values[rank - 1]
 
 
 def summarize_latencies(latencies: Iterable[float]) -> LatencySummary:

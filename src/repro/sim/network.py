@@ -109,8 +109,9 @@ class Network:
         #: Optional tap called as ``on_deliver(src, dst, payload, kind)``
         #: at the top of every delivery attempt (before the host-up
         #: check), used by :class:`~repro.sim.timeline.Timeline`.  A
-        #: declared hook, not a monkeypatched method: the compiled build
-        #: forbids replacing methods on instances.
+        #: declared hook rather than a monkeypatched method, so a tap is
+        #: visible in the constructor and costs one ``None`` test when
+        #: unset.
         self.on_deliver: Callable[[HostId, HostId, Any, str], None] | None = None
 
     # -- topology -------------------------------------------------------------

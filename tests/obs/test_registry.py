@@ -5,8 +5,9 @@ import json
 
 import pytest
 
-from repro.obs import Registry
-from repro.obs.registry import _NULL_SPAN
+from repro.obs import Histogram, Registry
+from repro.obs.registry import _NULL_SPAN, percentile
+from repro.sim.metrics import percentile as metrics_percentile
 
 
 class TestCounter:
@@ -44,6 +45,24 @@ class TestHistogram:
         hist = reg.histogram("x")
         assert hist.percentile(0.5) == 50.0
         assert hist.percentile(1.0) == 100.0
+
+    def test_percentile_small_windows_use_nearest_rank(self):
+        # rank = ceil(fraction * n): p50 of 1..5 is the 3rd value and
+        # p25 of 1..10 the 3rd, the same answers as repro.sim.metrics.
+        five, ten = Histogram("five"), Histogram("ten")
+        for v in range(1, 6):
+            five.observe(float(v))
+        for v in range(1, 11):
+            ten.observe(float(v))
+        assert five.percentile(0.5) == 3.0
+        assert ten.percentile(0.25) == 3.0
+        assert five.percentile(0.5) == metrics_percentile([1.0, 2.0, 3.0, 4.0, 5.0], 0.5)
+        assert ten.percentile(0.25) == metrics_percentile(
+            [float(v) for v in range(1, 11)], 0.25
+        )
+
+    def test_one_percentile_implementation(self):
+        assert metrics_percentile is percentile
 
     def test_percentile_on_empty_raises(self):
         with pytest.raises(ValueError):

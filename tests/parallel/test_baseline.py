@@ -6,7 +6,7 @@ from repro.parallel import baseline
 
 
 def make_report(serial_eps=1000.0, parallel_eps=1800.0, deterministic=True,
-                jobs=baseline.PINNED_JOBS, workers=2, build="pure"):
+                jobs=baseline.PINNED_JOBS, workers=2):
     """A synthetic BENCH_sweep.json-shaped report for gate tests."""
     return {
         "benchmark": "pinned_sweep",
@@ -25,7 +25,6 @@ def make_report(serial_eps=1000.0, parallel_eps=1800.0, deterministic=True,
             "speedup": 1.8,
         },
         "machine": {"cpus": 2, "python": "3.11.0", "platform": "test"},
-        "build": {"build": build},
     }
 
 
@@ -100,56 +99,6 @@ class TestMachineDrift:
         current = make_report(serial_eps=100.0)
         verdict = baseline.compare(current, make_report(), tolerance=0.25)
         assert not verdict.ok
-
-
-class TestBuildDrift:
-    def test_same_build_no_drift(self):
-        assert baseline.build_drift(make_report(), make_report()) is None
-        compiled = make_report(build="compiled")
-        assert baseline.build_drift(compiled, make_report(build="compiled")) is None
-
-    def test_missing_build_block_compares_as_pure(self):
-        # Baselines pinned before the build block existed must not start
-        # warning on every pure run.
-        legacy = make_report()
-        del legacy["build"]
-        assert baseline.build_drift(make_report(build="pure"), legacy) is None
-        drift = baseline.build_drift(make_report(build="compiled"), legacy)
-        assert drift is not None and "'pure'" in drift and "'compiled'" in drift
-
-    def test_build_drift_alone_warns_but_passes(self):
-        verdict = baseline.compare(
-            make_report(build="compiled"), make_report(build="pure")
-        )
-        assert verdict.ok
-        assert any("build drifted" in w for w in verdict.warnings)
-
-    def test_build_drift_demotes_throughput_regression_to_warning(self):
-        # A pure run gated against a compiled pin would "regress" by the
-        # whole compilation speedup — that must warn, not fail.
-        current = make_report(serial_eps=100.0, parallel_eps=100.0, build="pure")
-        verdict = baseline.compare(
-            current, make_report(build="compiled"), tolerance=0.25
-        )
-        assert verdict.ok
-        assert any("re-pin" in w for w in verdict.warnings)
-
-    def test_build_drift_does_not_mask_semantic_failures(self):
-        current = make_report(deterministic=False, build="compiled")
-        verdict = baseline.compare(current, make_report(build="pure"))
-        assert not verdict.ok
-
-    def test_same_build_regression_still_fails(self):
-        current = make_report(serial_eps=100.0, build="compiled")
-        verdict = baseline.compare(
-            current, make_report(build="compiled"), tolerance=0.25
-        )
-        assert not verdict.ok
-
-    def test_run_benchmark_records_build_block(self):
-        assert baseline.build_block()["build"] in {
-            "pure", "compiled", "pure-twin", "mixed"
-        }
 
 
 class TestSingleCpuSkip:

@@ -28,66 +28,13 @@ class TestClassify:
     def test_windows_separators_normalized(self):
         assert profile.classify("C:\\x\\repro\\sim\\kernel.py") == "kernel"
 
-    def test_hot_twin_files_claimed(self):
-        # Twins staged outside the repo tree (REPRO_HOT_DIR) carry no
-        # repro/ prefix; the _hot/ fragments must still claim them.
-        assert profile.classify("/tmp/stage/_hot/kernel.py") == "kernel"
-        assert profile.classify("/tmp/stage/_hot/network.py") == "network"
-        assert profile.classify("/tmp/stage/_hot/table.py") == "lease"
-        assert profile.classify("/tmp/stage/_hot/codec.py") == "protocol"
-        assert profile.classify("/tmp/stage/_hot/messages.py") == "protocol"
-        assert profile.classify("/tmp/stage/_hot/filecache.py") == "support"
-
-
-class TestClassifyEntry:
-    def test_filename_wins_when_usable(self):
-        assert (
-            profile.classify_entry("/x/src/repro/sim/kernel.py", "run") == "kernel"
-        )
-
-    def test_compiled_frames_recovered_by_name(self):
-        # mypyc-compiled functions profile builtin-style: filename "~",
-        # the module or native-class name embedded in the entry name.
-        assert (
-            profile.classify_entry("~", "<built-in method repro._hot.kernel.set_fast_paths>")
-            == "kernel"
-        )
-        assert (
-            profile.classify_entry("~", "<method 'run' of 'kernel.Kernel' objects>")
-            == "kernel"
-        )
-        assert (
-            profile.classify_entry("~", "<method 'unicast' of 'Network' objects>")
-            == "network"
-        )
-        assert (
-            profile.classify_entry("~", "<method 'grant' of 'table.LeaseTable' objects>")
-            == "lease"
-        )
-        assert (
-            profile.classify_entry("~", "<built-in method repro._hot.codec.encode_message>")
-            == "protocol"
-        )
-        assert (
-            profile.classify_entry("~", "<method 'put' of 'FileCache' objects>")
-            == "support"
-        )
-
-    def test_true_builtins_stay_builtin(self):
-        assert profile.classify_entry("~", "<built-in method builtins.len>") == "builtin"
-        assert (
-            profile.classify_entry("~", "<method 'append' of 'list' objects>")
-            == "builtin"
-        )
-
 
 class TestCompareReports:
     @staticmethod
-    def _report(label, build, kernel_t, network_t):
+    def _report(label, kernel_t, network_t):
         total = kernel_t + network_t
         return {
             "label": label,
-            "build": {"build": build},
             "total_tottime": total,
             "subsystems": {
                 "kernel": {"tottime": kernel_t, "calls": 10, "share": kernel_t / total},
@@ -96,10 +43,9 @@ class TestCompareReports:
         }
 
     def test_diff_table_sorted_by_delta_magnitude(self):
-        before = self._report("core_storms", "pure", 3.0, 1.0)
-        after = self._report("core_storms", "compiled", 1.0, 0.9)
+        before = self._report("core_storms", 3.0, 1.0)
+        after = self._report("core_storms", 1.0, 0.9)
         out = profile.compare_reports(before, after)
-        assert "[pure]" in out and "[compiled]" in out
         # kernel moved by 2.0s, network by 0.1s: kernel row first.
         kernel_at = out.index("kernel")
         network_at = out.index("network")
@@ -107,18 +53,12 @@ class TestCompareReports:
         assert "-2.000" in out
 
     def test_subsystem_missing_on_one_side_defaults_to_zero(self):
-        before = self._report("a", "pure", 2.0, 1.0)
-        after = self._report("b", "pure", 2.0, 1.0)
+        before = self._report("a", 2.0, 1.0)
+        after = self._report("b", 2.0, 1.0)
         del after["subsystems"]["network"]
         out = profile.compare_reports(before, after)
         assert "network" in out
         assert "-1.000" in out
-
-    def test_build_block_optional(self):
-        before = self._report("a", "pure", 2.0, 1.0)
-        del before["build"]
-        out = profile.compare_reports(before, self._report("b", "pure", 2.0, 1.0))
-        assert "a" in out and "b" in out
 
 
 class TestProfileRun:

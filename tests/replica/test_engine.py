@@ -106,7 +106,7 @@ class TestClockStepRearm:
 
     def test_handoff_firing_early_rearms_for_the_remainder(self):
         """A backward step while ``handoff`` is armed makes it fire with
-        ``now < serve_at``; serving then would break the §17 invariant."""
+        ``now < serve_at``; serving then would break the §16 invariant."""
         engine = make_engine(history=True)
         elect(engine, now=10.0)
         serve_at = engine._serve_at

@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import ReproError
 from repro.lease.policy import FixedTermPolicy, ZeroTermPolicy
-from repro.obs.bus import TraceBus
+from repro.obs.bus import NULL_BUS, TraceBus
 from repro.obs.events import TRANSPORT_DROP
 from repro.protocol.client import ClientConfig
 from repro.protocol.server import ServerConfig
@@ -158,6 +158,26 @@ class TestSendFailureObservability:
             assert drops
             assert all(e["reason"] == "OSError" for e in drops)
             assert drops[0]["dst"] == "server"
+            assert client.send_failures == len(drops)
+            await client.close()
+
+        run(scenario())
+
+    def test_failed_sends_are_counted_with_tracing_off(self):
+        async def scenario():
+            client = LeaseClientNode(
+                _BrokenTransport(), "server",
+                config=ClientConfig(
+                    epsilon=0.01, rpc_timeout=0.05, write_timeout=0.05, max_retries=1
+                ),
+            )
+            assert client.obs is NULL_BUS
+            assert client.send_failures == 0
+            with pytest.raises(ReproError):
+                await client.read(DatumId.file("file:1"))
+            await asyncio.sleep(0)  # let the last send's done-callback run
+            # One initial send plus one retransmission, both dropped.
+            assert client.send_failures == 2
             await client.close()
 
         run(scenario())
@@ -180,6 +200,7 @@ class TestSendFailureObservability:
             with pytest.raises(asyncio.CancelledError):
                 await read
             assert not bus.events(TRANSPORT_DROP)
+            assert client.send_failures == 0
             assert not client._send_tasks
 
         run(scenario())

@@ -1,12 +1,10 @@
-"""The PR-4 equivalence contract: fast paths change nothing, byte for byte.
+"""The equivalence contract: fast paths change nothing, byte for byte.
 
 Every case in :mod:`tests.sim.equivalence` runs against the committed
 pre-optimization golden digests (trace stream hash, per-host message
-stats, oracle fingerprint/verdict, executed-event count).  The default
-configuration (inline fast path + timer wheel, both on) is checked over
-the full 24-case set, and the whole set is additionally swept over the
-other three flag combinations, proving the wheel and the inline
-delivery path are independently equivalent, not just jointly.
+stats, oracle fingerprint/verdict, executed-event count), so the timer
+wheel and the inline delivery path are pinned to the behaviour of the
+classic event heap they replaced.
 
 A failure here means a hot-path change altered observable behaviour.
 Never regenerate the goldens to make a perf refactor pass.
@@ -14,24 +12,11 @@ Never regenerate the goldens to make a perf refactor pass.
 
 import pytest
 
-from repro.sim import kernel as kernel_mod
 from tests.sim import equivalence
 
 GOLDEN = equivalence.load_golden()
 
-#: The full case set is cheap enough (~40 ms per traced run) to sweep
-#: across every flag combination.
-CROSS_CASES = tuple(label for label, _, _ in equivalence.CASES)
-
 _CASE_BY_LABEL = {label: (config, index) for label, config, index in equivalence.CASES}
-
-
-@pytest.fixture(autouse=True)
-def restore_flags():
-    """Leave the module-level fast-path defaults as we found them."""
-    inline, wheel = kernel_mod.get_fast_paths()
-    yield
-    kernel_mod.set_fast_paths(inline=inline, wheel=wheel)
 
 
 class TestGoldenDigests:
@@ -40,16 +25,6 @@ class TestGoldenDigests:
     )
     def test_default_flags_match_golden(self, label):
         config, index = _CASE_BY_LABEL[label]
-        digest = equivalence.core_digest(equivalence.scenario_for(config, index))
-        assert digest == GOLDEN[label]
-
-    @pytest.mark.parametrize("label", CROSS_CASES)
-    @pytest.mark.parametrize(
-        "inline,wheel", [(True, False), (False, True), (False, False)]
-    )
-    def test_flag_combinations_match_golden(self, label, inline, wheel):
-        config, index = _CASE_BY_LABEL[label]
-        kernel_mod.set_fast_paths(inline=inline, wheel=wheel)
         digest = equivalence.core_digest(equivalence.scenario_for(config, index))
         assert digest == GOLDEN[label]
 

@@ -1,11 +1,14 @@
 """Unit and property tests for the discrete-event kernel."""
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.sim.kernel import Kernel
+from repro.obs import TraceBus
+from repro.sim.kernel import _COMPACT_MIN, _FAR_CUTOFF, Kernel
 
 
 class TestScheduling:
@@ -149,8 +152,6 @@ class TestCompaction:
         assert kernel._cancelled == 0
 
     def test_compaction_emits_kernel_event(self):
-        from repro.obs import TraceBus
-
         bus = TraceBus(capacity=None)
         kernel = Kernel(obs=bus)
         kernel.schedule(1000.0, lambda: None)
@@ -258,3 +259,228 @@ class TestExecutedCounter:
         assert kernel.executed == 1
         assert kernel.step()
         assert kernel.executed == 2
+
+
+class TestFarTier:
+    """Deadlines at or past ``_FAR_CUTOFF`` (and ``inf``) bypass the wheel
+    for the ``_far`` heap; they must interleave with near entries in
+    strict ``(time, seq)`` order on every consumption path."""
+
+    FAR = _FAR_CUTOFF
+
+    def mixed_kernel(self, fired):
+        """A kernel holding near and far entries, scheduled out of order,
+        with same-time pairs on both tiers to pin the ``seq`` tie-break.
+        Returns it with the expected firing order."""
+        kernel = Kernel()
+        plan = [
+            (math.inf, "inf-a"),
+            (self.FAR * 2, "far2"),
+            (5.0, "near5-a"),
+            (self.FAR, "cut-a"),
+            (1.0, "near1"),
+            (self.FAR + 1.0, "far1"),
+            (math.inf, "inf-b"),
+            (self.FAR, "cut-b"),
+            (5.0, "near5-b"),
+        ]
+        for i, (time, tag) in enumerate(plan):
+            # Alternate handle-bearing and handle-less insertion paths.
+            if i % 2:
+                kernel.schedule_at(time, lambda t=tag: fired.append((t, kernel.now)))
+            else:
+                kernel.post_at(time, lambda t=tag: fired.append((t, kernel.now)))
+        assert len(kernel._far) == 6  # every deadline >= the cutoff
+        order = sorted(range(len(plan)), key=lambda i: (plan[i][0], i))
+        return kernel, [(plan[i][1], plan[i][0]) for i in order]
+
+    def test_run_fires_both_tiers_in_time_seq_order(self):
+        fired = []
+        kernel, expected = self.mixed_kernel(fired)
+        kernel.run()
+        assert fired == expected
+        assert kernel.now == math.inf
+        assert kernel.pending() == 0
+        assert kernel._size() == 0
+
+    def test_run_until_stops_inside_the_far_tier(self):
+        fired = []
+        kernel, expected = self.mixed_kernel(fired)
+        kernel.run(until=self.FAR)  # boundary entries included
+        assert fired == expected[:5]
+        assert kernel.now == self.FAR
+        assert kernel.pending() == 4
+        kernel.run(until=self.FAR + 0.5)
+        assert fired == expected[:5]
+        assert kernel.now == self.FAR + 0.5
+        kernel.run(until=self.FAR * 2)
+        assert fired == expected[:7]
+        kernel.run()
+        assert fired == expected
+        assert kernel.pending() == 0
+
+    def test_step_walks_both_tiers_one_event_at_a_time(self):
+        fired = []
+        kernel, expected = self.mixed_kernel(fired)
+        for n in range(1, len(expected) + 1):
+            assert kernel.step()
+            assert fired == expected[:n]
+            assert kernel.executed == n
+            assert kernel.pending() == len(expected) - n
+        assert not kernel.step()
+
+    def test_callbacks_in_the_far_tier_keep_scheduling_in_order(self):
+        kernel = Kernel()
+        fired = []
+
+        def at_cutoff():
+            fired.append(("cut", kernel.now))
+            kernel.schedule(0.0, lambda: fired.append(("same", kernel.now)))
+            kernel.schedule(1.0, lambda: fired.append(("later", kernel.now)))
+
+        kernel.schedule_at(self.FAR + 1.0, lambda: fired.append(("queued", kernel.now)))
+        kernel.schedule_at(self.FAR, at_cutoff)
+        kernel.run()
+        assert fired == [
+            ("cut", self.FAR),
+            ("same", self.FAR),
+            ("queued", self.FAR + 1.0),  # queued first: lower seq wins the tie
+            ("later", self.FAR + 1.0),
+        ]
+
+    def test_cancelled_far_head_is_skipped(self):
+        kernel = Kernel()
+        fired = []
+        kernel.schedule_at(self.FAR, fired.append, "dead").cancel()
+        kernel.schedule_at(math.inf, fired.append, "dead-inf").cancel()
+        kernel.schedule_at(self.FAR + 1.0, fired.append, "live")
+        kernel.schedule(1.0, fired.append, "near")
+        assert kernel.pending() == 2
+        assert kernel._cancelled == 2  # below the compaction floor
+        kernel.run()
+        assert fired == ["near", "live"]
+        assert kernel._cancelled == 0
+        assert kernel._size() == 0
+
+    def test_cancelled_far_entries_compact_without_reordering(self):
+        bus = TraceBus(capacity=None)
+        kernel = Kernel(obs=bus)
+        fired = []
+        live = 20
+        # Live far entries scheduled in descending time order so the heap
+        # is genuinely reshuffled, plus a few near ones.
+        for i in reversed(range(live - 4)):
+            kernel.schedule_at(self.FAR + i, lambda i=i: fired.append(
+                (("far", i), kernel.pending())
+            ))
+        kernel.schedule_at(math.inf, lambda: fired.append((("inf",), kernel.pending())))
+        for i in range(3):
+            kernel.schedule(1.0 + i, lambda i=i: fired.append(
+                (("near", i), kernel.pending())
+            ))
+        doomed = [
+            kernel.schedule_at(self.FAR + 0.5 + i, lambda: fired.append("dead"))
+            for i in range(_COMPACT_MIN + 40)
+        ]
+        for k, handle in enumerate(doomed, 1):
+            handle.cancel()
+            assert kernel.pending() == live + len(doomed) - k
+        compactions = bus.events("kernel.compact")
+        assert compactions
+        assert kernel.pending() == live
+        assert kernel._size() - kernel.pending() == kernel._cancelled
+        kernel.run()
+        assert "dead" not in fired
+        tags = [tag for tag, _ in fired]
+        assert tags == (
+            [("near", i) for i in range(3)]
+            + [("far", i) for i in range(live - 4)]
+            + [("inf",)]
+        )
+        # pending() seen by each callback counts exactly the live rest.
+        assert [pending for _, pending in fired] == list(range(live - 1, -1, -1))
+        assert kernel._size() == 0
+
+
+class TestDeferOverFarTier:
+    """:meth:`Kernel.defer` must prove "nothing precedes" past the wheel:
+    with only a far entry queued it runs inline, leaving ``now``,
+    ``executed`` and the seq counter exactly as the queued event would."""
+
+    FAR = _FAR_CUTOFF
+
+    #: How the parent schedules its child: the queued reference and the
+    #: two inline-capable entry points under test.
+    SCHEDULE = {
+        "post_at": lambda kernel, time, fn: kernel.post_at(time, fn),
+        "defer": lambda kernel, time, fn: kernel.defer(time, fn),
+        "defer_args": lambda kernel, time, fn: kernel.defer_args(time, fn, ()),
+    }
+
+    def run_case(self, how, parent_at, child_at, queued_far):
+        """Run one parent callback that schedules a child via
+        ``SCHEDULE[how]``; return the per-callback state trace, the final
+        state, and whether the child ran inside the parent."""
+        kernel = Kernel()
+        trace = []
+        depth = [0]
+
+        def snapshot(tag):
+            trace.append((tag, kernel.now, kernel.executed, kernel._seq, kernel.pending()))
+
+        def child():
+            snapshot("child")
+            trace.append(("nested", depth[0]))
+
+        def parent():
+            depth[0] += 1
+            snapshot("parent")
+            self.SCHEDULE[how](kernel, child_at, child)
+            depth[0] -= 1
+
+        for time, cancelled in queued_far:
+            handle = kernel.schedule_at(time, snapshot, ("far", time))
+            if cancelled:
+                handle.cancel()
+        kernel.schedule_at(parent_at, parent)
+        kernel.run()
+        nested = [entry for entry in trace if entry[0] == "nested"]
+        states = [entry for entry in trace if entry[0] != "nested"]
+        final = (kernel.now, kernel.executed, kernel._seq, kernel.pending(),
+                 kernel._cancelled, kernel._size())
+        return states, final, nested == [("nested", 1)]
+
+    @pytest.mark.parametrize("variant", ["defer", "defer_args"])
+    def test_near_defer_inlines_when_only_far_entry_is_queued(self, variant):
+        case = dict(parent_at=1.0, child_at=2.0, queued_far=[(self.FAR, False)])
+        queued = self.run_case("post_at", **case)
+        deferred = self.run_case(variant, **case)
+        assert not queued[2]
+        assert deferred[2], "defer did not run inline"
+        assert deferred[:2] == queued[:2]
+
+    @pytest.mark.parametrize("variant", ["defer", "defer_args"])
+    def test_far_defer_prunes_cancelled_far_head_then_inlines(self, variant):
+        case = dict(
+            parent_at=self.FAR,
+            child_at=self.FAR + 5.0,
+            queued_far=[(self.FAR + 1.0, True), (math.inf, False)],
+        )
+        queued = self.run_case("post_at", **case)
+        deferred = self.run_case(variant, **case)
+        assert deferred[2], "defer did not run inline"
+        assert deferred[:2] == queued[:2]
+
+    @pytest.mark.parametrize("variant", ["defer", "defer_args"])
+    def test_live_far_entry_ahead_forces_queueing(self, variant):
+        case = dict(
+            parent_at=self.FAR,
+            child_at=self.FAR + 5.0,
+            queued_far=[(self.FAR + 1.0, False), (math.inf, False)],
+        )
+        queued = self.run_case("post_at", **case)
+        deferred = self.run_case(variant, **case)
+        assert not deferred[2]
+        assert deferred[:2] == queued[:2]
+        tags = [state[0] for state in deferred[0]]
+        assert tags == ["parent", ("far", self.FAR + 1.0), "child", ("far", math.inf)]
