@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 from repro.types import DatumId, Version
 
@@ -66,19 +66,32 @@ class FileCache:
     *outside* the LRU — an early design kept them on tombstone entries,
     and the stateful property tests demonstrated that eviction could then
     silently discard a floor.  They are tiny (one int per datum ever
-    invalidated) and are released when the datum is dropped.
+    admitted or invalidated) and are released when the datum is dropped.
+
+    **Eviction hook**: ``on_evict`` is called once per victim that
+    capacity pressure removes, and for nothing else — not on
+    :meth:`drop`, :meth:`clear`, a refused :meth:`put` or an overwrite.
+    The client engine wires it to its lease set, so a client holds
+    leases only on data it caches.
     """
 
-    def __init__(self, capacity: int = 4096, policy: Any = None):
+    def __init__(
+        self,
+        capacity: int = 4096,
+        policy: Any = None,
+        on_evict: Callable[[DatumId], None] | None = None,
+    ):
         """Args:
             capacity: maximum resident entries (must be >= 1).
             policy: optional :class:`~repro.cache.eviction.LruLfuPolicy`;
                 None keeps the built-in LRU victim selection.
+            on_evict: optional callback receiving each evicted datum.
         """
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1: {capacity}")
         self.capacity = capacity
         self.policy = policy
+        self.on_evict = on_evict
         self._entries: OrderedDict[DatumId, CacheEntry] = OrderedDict()
         #: datum -> minimum admissible version; never evicted.
         self._floors: dict[DatumId, Version] = {}
@@ -194,6 +207,10 @@ class FileCache:
         if self.policy is not None:
             self.policy.clear()
 
+    def floor_count(self) -> int:
+        """Datums with an admission floor (resident or not)."""
+        return len(self._floors)
+
     def __len__(self) -> int:
         return len(self._entries)
 
@@ -223,6 +240,8 @@ class FileCache:
                 del self._entries[evicted]
                 self.policy.forget(evicted)
             self.stats.evictions += 1
+            if self.on_evict is not None:
+                self.on_evict(evicted)
 
 
 class TempFileStore:

@@ -9,7 +9,7 @@ One module per artifact (see DESIGN.md §4 for the experiment index):
 * :mod:`repro.experiments.figure3` — E-F3, delay at 100 ms round trip.
 * :mod:`repro.experiments.claims` — E-CL, the §3.2 headline numbers.
 * :mod:`repro.experiments.ablations` — A-BATCH/A-INST/A-ANT/A-ADPT/A-MCAST.
-* :mod:`repro.experiments.workload_curves` — E-WL, hit rate and server
+* :mod:`repro.experiments.workload_curves` — E-WL, local hit rate and server
   consistency load vs lease term under production-shaped workloads
   (Zipf skew, flash crowd), LRU vs hybrid LRU+LFU eviction.
 

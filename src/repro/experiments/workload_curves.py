@@ -1,4 +1,4 @@
-"""E-WL: hit rate and server consistency load vs lease term, by eviction.
+"""E-WL: local hit rate and server consistency load vs lease term, by eviction.
 
 The paper's Figure 1 uses the compile trace, whose working set fits the
 client cache — eviction policy is invisible there.  This experiment puts
@@ -8,8 +8,14 @@ file, both drawn from the pinned :data:`SEED` through
 :mod:`repro.workload.models` (the same specs the adversarial scenario
 suite sweeps).  Each grid point replays the model trace through the full
 protocol stack twice — once under plain LRU, once under hybrid LRU+LFU
-(:mod:`repro.cache.eviction`) — and reports the aggregate client cache
-hit rate and the server's consistency messages per read.
+(:mod:`repro.cache.eviction`) — and reports the share of reads served
+locally (``ClientMetrics.local_hits / reads``) and the server's
+consistency messages per read.
+
+The hit figure is per *read*, not per cache lookup: the engine consults
+the cache only under a valid lease, and eviction drops the lease, so
+``cache.stats.hits / lookups`` would count only reads of data that was
+still cached and would overstate the hit rate under capacity pressure.
 
 Every point is an independent deterministic simulation, so the grid fans
 out over workers with results identical to a serial run.
@@ -53,7 +59,7 @@ def _curve_point(
     n_clients: int,
     seed: int,
 ) -> tuple[float, float]:
-    """Grid job: ``(hit_rate, consistency msgs per read)`` at one point."""
+    """Grid job: ``(local hits per read, consistency msgs per read)``."""
     workload, eviction, term = point
     spec = preset(workload)
     capacity = with_capacity_ratio(spec, CAPACITY_RATIO)
@@ -66,10 +72,10 @@ def _curve_point(
     )
     replay_trace_on_cluster(cluster, trace, datum_of)
     cluster.run(until=duration + 120.0)
-    hits = sum(c.engine.cache.stats.hits for c in cluster.clients)
-    lookups = sum(c.engine.cache.stats.lookups for c in cluster.clients)
+    hits = sum(c.engine.metrics.local_hits for c in cluster.clients)
+    reads = sum(c.engine.metrics.reads for c in cluster.clients)
     n_reads = sum(1 for r in trace if r.op == "read")
-    hit_rate = hits / lookups if lookups else 0.0
+    hit_rate = hits / reads if reads else 0.0
     load = consistency_messages(cluster) / n_reads if n_reads else 0.0
     return hit_rate, load
 
@@ -80,7 +86,7 @@ class WorkloadCurvesResult:
 
     Attributes:
         terms: the lease-term grid.
-        hit_rate: aggregate client cache hit rate per term.
+        hit_rate: reads served locally per read, all clients, per term.
         server_load: server consistency messages per traced read.
         capacities: cache capacity used per workload preset.
     """
@@ -144,11 +150,11 @@ def render(result: WorkloadCurvesResult | None = None) -> str:
         f"{w}: cache={result.capacities[w]}" for w in WORKLOADS
     )
     parts = [
-        "E-WL: hit rate / server consistency load vs lease term, by eviction\n"
+        "E-WL: local hit rate / server consistency load vs lease term, by eviction\n"
         f"(working set {CAPACITY_RATIO:g}x cache — {caps}; seed {SEED})\n"
     ]
     for title, curves in (
-        ("cache hit rate", result.hit_rate),
+        ("local hits per read", result.hit_rate),
         ("consistency msgs per read", result.server_load),
     ):
         headers = ["term (s)"] + labels

@@ -93,8 +93,10 @@ class LeaseSet:
 
         Per §3.1, when one lease must be extended, the cache extends all the
         leases it still holds in one request, amortizing the round trip.
-        Cover-held (installed) datums are excluded: the server extends those
-        by multicast and explicit requests would defeat the optimization.
+        The client engine drops a holding when its datum is evicted, so the
+        batch covers only cached data.  Cover-held (installed) datums are
+        excluded: the server extends those by multicast and explicit
+        requests would defeat the optimization.
         """
         return sorted(
             (d for d, h in self._holdings.items() if h.cover is None),

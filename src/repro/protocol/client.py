@@ -7,6 +7,8 @@ implements the client half of the protocol:
 * local read hits complete with **zero** messages while the lease is valid;
 * expired leases are extended with a **batched** request covering every
   lease the cache still holds (§3.1), which amortizes the round trip;
+  evicting a datum drops its lease locally with no message, so that batch
+  is bounded by the cache capacity;
 * writes are written through with per-client sequence numbers for
   exactly-once commit under retransmission;
 * approval callbacks invalidate the local copy (with a version floor) and
@@ -76,8 +78,9 @@ class ClientConfig:
         write_timeout: retransmission timeout for writes — generous,
             because a write is *designed* to wait up to a lease term.
         max_retries: retransmissions before an operation fails.
-        batch_extensions: extend all held leases together (§3.1); off for
-            the ablation benchmark.
+        batch_extensions: extend all held leases together (§3.1) — at
+            most one per cached datum, since eviction drops the lease;
+            off for the ablation benchmark.
         batching: pipeline *all* outbound requests issued within one
             instant into :class:`~repro.protocol.messages.BatchRequest`
             frames (see :mod:`repro.protocol.pipeline`).  Off by default:
@@ -194,6 +197,10 @@ class ClientEngine:
         self.cache = FileCache(
             capacity=self.config.cache_capacity,
             policy=make_policy(self.config.eviction, protected=self.leases.held_datums),
+            # A lease on data no longer cached cannot serve a local hit;
+            # forgetting it keeps extensions to cached data.  No relinquish
+            # is sent: the server's record lapses within one term.
+            on_evict=self.leases.drop,
         )
         self.temp = TempFileStore()
         self.metrics = ClientMetrics()
@@ -374,6 +381,9 @@ class ClientEngine:
     def _send_extend(self, datum: DatumId, op_id: int | None, now: float) -> list[Effect]:
         """Batched extension covering every held (non-cover) lease (§3.1).
 
+        Eviction drops a datum's lease, so the batch lists only cached
+        datums, plus the triggering one.
+
         Batch order is the sorted (by ``str``) datum set and nothing else:
         the triggering datum — absent from :meth:`LeaseSet.extension_batch`
         only when it is held under a cover lease — is merged into sorted
@@ -522,14 +532,19 @@ class ClientEngine:
             return []
         effects: list[Effect] = [CancelTimer(f"rpc:{msg.req_id}")]
         for grant in msg.grants:
-            expires = safe_local_expiry(
-                req.sent_local, grant.term, self.config.epsilon, self.config.drift_bound
-            )
-            self.leases.add(grant.datum, expires, cover=grant.cover)
             op_ids = req.waiters.get(grant.datum, [])
             if grant.changed and grant.payload is not None:
                 self.cache.put(grant.datum, grant.version, grant.payload)
             entry = self.cache.peek(grant.datum)
+            if entry is not None or grant.datum in self.leases:
+                # An uncached datum with no holding was evicted after the
+                # request left, possibly by an earlier grant's put in this
+                # very reply: re-adding its lease would make the next
+                # extension pull the payload back in.
+                expires = safe_local_expiry(
+                    req.sent_local, grant.term, self.config.epsilon, self.config.drift_bound
+                )
+                self.leases.add(grant.datum, expires, cover=grant.cover)
             if entry is not None and entry.valid:
                 for op_id in op_ids:
                     effects.append(
@@ -831,6 +846,23 @@ class ClientEngine:
     def outstanding_requests(self) -> int:
         """Number of RPCs currently awaiting a reply."""
         return len(self._requests)
+
+    def status(self, now: float) -> dict:
+        """Operational snapshot, the client twin of ``ServerEngine.status``.
+
+        Always on (no tracing needed).  ``leases`` stays at most the cache
+        capacity plus the datums being fetched: eviction drops the lease.
+        """
+        return {
+            "now": now,
+            "leases": len(self.leases),
+            "cache_entries": len(self.cache),
+            "cache_floors": self.cache.floor_count(),
+            "requests": len(self._requests),
+            "fetching": len(self._datum_req),
+            "pending_ops": len(self._ops),
+            "evictions": self.cache.stats.evictions,
+        }
 
     def pipeline_stats(self) -> tuple[int, int]:
         """(batched frames sent, ops shipped inside them); (0, 0) unbatched."""

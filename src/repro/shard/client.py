@@ -232,6 +232,15 @@ class ShardedClientEngine:
         """RPCs currently awaiting a reply, across every shard."""
         return sum(engine.outstanding_requests() for engine in self.engines)
 
+    def status(self, now: float) -> dict:
+        """:meth:`ClientEngine.status` summed across every shard engine."""
+        total = self.engines[0].status(now)
+        for engine in self.engines[1:]:
+            for key, value in engine.status(now).items():
+                if key != "now":
+                    total[key] += value
+        return total
+
     def pipeline_stats(self) -> tuple[int, int]:
         """Summed ``(batched frames, ops shipped in them)`` across shards."""
         batches = ops = 0

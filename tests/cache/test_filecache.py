@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.cache import FileCache, TempFileStore
+from repro.cache.eviction import LruLfuPolicy
 from repro.types import DatumId
 
 F1 = DatumId.file("f1")
@@ -224,6 +225,43 @@ class TestLru:
         for i in ops:
             cache.put(DatumId.file(f"f{i}"), 1, b"")
         assert len(cache) <= 4
+
+
+class TestEvictionHook:
+    """``on_evict`` fires once per capacity victim and for nothing else."""
+
+    def make(self, capacity=2, policy=None):
+        evicted = []
+        return FileCache(capacity, policy=policy, on_evict=evicted.append), evicted
+
+    def test_fires_once_per_lru_victim(self):
+        cache, evicted = self.make(capacity=2)
+        for name in ("a", "b", "c", "d"):
+            cache.put(DatumId.file(name), 1, b"")
+        assert evicted == [DatumId.file("a"), DatumId.file("b")]
+        assert cache.stats.evictions == 2
+
+    def test_fires_once_per_lru_lfu_victim(self):
+        cache, evicted = self.make(capacity=2, policy=LruLfuPolicy())
+        cache.put(F1, 1, b"")
+        cache.put(F2, 1, b"")
+        for _ in range(5):
+            cache.get(F1)  # F1 hot, F2 cold
+        cache.put(DatumId.file("f3"), 1, b"")
+        cache.put(DatumId.file("f4"), 1, b"")
+        assert evicted == [F2, DatumId.file("f3")]
+        assert all(d not in cache for d in evicted)
+
+    def test_silent_on_drop_clear_refusal_and_overwrite(self):
+        cache, evicted = self.make(capacity=2)
+        cache.put(F1, 2, b"v2")
+        cache.put(F2, 1, b"")
+        assert not cache.put(F1, 1, b"v1")  # refused: below cached version
+        cache.put(F1, 3, b"v3")  # overwrite in place
+        cache.invalidate(F2)
+        cache.drop(F2)
+        cache.clear()
+        assert evicted == []
 
 
 class TestTempFileStore:

@@ -20,6 +20,8 @@ adversarial job runs the same families via ``python -m repro.check
 --workload <kind>``).
 """
 
+import dataclasses
+
 import pytest
 
 from repro.check import Explorer
@@ -28,6 +30,26 @@ from repro.check.runner import build_scenario_cluster, run_scenario
 from repro.check.scenario import Scenario
 
 SMOKE_SEEDS = 5
+
+
+def _replay(scenario: Scenario):
+    """Run a scenario's ops and drain on a fresh cluster; return it."""
+    cluster = build_scenario_cluster(scenario)
+    datums = [cluster.store.file_datum(f"/file{i}")
+              for i in range(scenario.n_files)]
+
+    def make_submit(op):
+        def submit(client):
+            if op.kind == "read":
+                client.read(datums[op.file])
+            else:
+                client.write(datums[op.file], scenario.content_for(op))
+        return submit
+
+    for op in scenario.ops:
+        cluster.schedule_op(op.at, op.client, make_submit(op))
+    cluster.run(until=scenario.duration + scenario.drain)
+    return cluster
 
 
 def _sweep(kind: str, *, eviction: str = "lru", base_seed: int = 0,
@@ -111,27 +133,45 @@ class TestFamilyStructure:
             base_seed=0, config=adversarial_config("stampede")
         ).generator.generate(0)
         assert scenario.cache_capacity < scenario.n_files
-        cluster = build_scenario_cluster(scenario)
-        datums = [cluster.store.file_datum(f"/file{i}")
-                  for i in range(scenario.n_files)]
-
-        def make_submit(op):
-            def submit(client):
-                if op.kind == "read":
-                    client.read(datums[op.file])
-                else:
-                    client.write(datums[op.file], scenario.content_for(op))
-            return submit
-
-        for op in scenario.ops:
-            cluster.schedule_op(op.at, op.client, make_submit(op))
-        cluster.run(until=scenario.duration + scenario.drain)
+        cluster = _replay(scenario)
         evictions = sum(c.engine.cache.stats.evictions for c in cluster.clients)
         assert evictions > 0
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError, match="unknown adversarial"):
             adversarial_config("meteor-shower")
+
+
+class TestLeasesBoundedByCache:
+    """Eviction drops the client's lease, so after every run each client
+    holds at most one lease per cached datum plus its in-flight fetches.
+    The cache is cut to at most a quarter of the files, so the
+    flash-crowd family (which runs uncapped) evicts too."""
+
+    @pytest.mark.parametrize("kind", ["stampede", "flash-crowd"])
+    @pytest.mark.parametrize("eviction", ["lru", "lru-lfu"])
+    def test_holdings_within_capacity(self, kind, eviction):
+        generator = Explorer(
+            base_seed=0, config=adversarial_config(kind, eviction=eviction)
+        ).generator
+        evictions = 0
+        for index in range(10):
+            scenario = generator.generate(index)
+            scenario = dataclasses.replace(
+                scenario,
+                cache_capacity=min(scenario.cache_capacity, scenario.n_files // 4),
+            )
+            cluster = _replay(scenario)
+            for client in cluster.clients:
+                engine = client.engine
+                if engine is None:  # crashed at the end of the run
+                    continue
+                status = engine.status(cluster.kernel.now)
+                assert status["leases"] <= scenario.cache_capacity + status["fetching"], (
+                    scenario.seed, client.name, status
+                )
+                evictions += status["evictions"]
+        assert evictions > 0
 
 
 class TestRunUnderBothEvictions:
@@ -142,8 +182,6 @@ class TestRunUnderBothEvictions:
 
     @pytest.mark.parametrize("kind", ADVERSARIAL_KINDS)
     def test_verdicts_agree(self, kind):
-        import dataclasses
-
         base = Explorer(
             base_seed=7, config=adversarial_config(kind)
         ).generator.generate(0)

@@ -173,6 +173,84 @@ class TestReadPath:
         assert client.handle_message(reply, "server", now=0.02) == []
 
 
+class TestLeasesBoundedByCache:
+    """Eviction drops the lease: a client holds leases only on cached data."""
+
+    def test_extension_lists_only_cached_datums(self):
+        client = make_client(cache_capacity=3)
+        files = [DatumId.file(f"f{i}") for i in range(10)]
+        for datum in files:
+            fetch(client, datum, payload=b"x")
+        assert len(client.cache) == 3
+        assert len(client.leases) == 3
+        trigger = files[-1]
+        _, effects = client.read(trigger, now=20.0)  # every lease expired
+        request = only(effects, Send).message
+        assert isinstance(request, ExtendRequest)
+        items = {datum for datum, _ in request.items}
+        assert items <= {d for d in files if d in client.cache} | {trigger}
+        assert all(version > 0 for _, version in request.items)
+        assert len(client.leases) <= 3 + len(client._datum_req)
+        assert client.status(20.0)["evictions"] == 7
+
+    def test_grant_does_not_resurrect_a_datum_evicted_by_the_same_reply(self):
+        """An earlier changed grant's put evicts a later grant's datum: the
+        later grant must leave that datum without a lease, else the next
+        extension lists it with version 0 and pulls its payload back."""
+        a, b, c = (DatumId.file(n) for n in "abc")
+        client = make_client(cache_capacity=2)
+        fetch(client, a, payload=b"a1")
+        fetch(client, b, payload=b"b1")
+        _, effects = client.read(b, now=20.0)  # extends a and b together
+        extend = only(effects, Send).message
+        assert [d for d, _ in extend.items] == [a, b]
+        fetch(client, c, payload=b"c1", now=20.0)  # evicts a (LRU)
+        assert a not in client.leases
+        reply = ExtendReply(
+            extend.req_id,
+            grants=(
+                ExtendGrant(a, 10.0, 2, payload=b"a2", changed=True),  # evicts b
+                ExtendGrant(b, 10.0, 1),
+            ),
+        )
+        effects = client.handle_message(reply, "server", now=20.001)
+        assert b not in client.cache
+        assert b not in client.leases
+        refetch = only(effects, Send).message  # b's waiting read refetches
+        assert isinstance(refetch, ReadRequest) and refetch.datum == b
+        assert a in client.leases and a in client.cache
+        assert client.leases.held_datums() <= {a, c}
+
+
+class TestStatus:
+    def test_fresh_client(self):
+        status = make_client().status(0.0)
+        assert status == {
+            "now": 0.0,
+            "leases": 0,
+            "cache_entries": 0,
+            "cache_floors": 0,
+            "requests": 0,
+            "fetching": 0,
+            "pending_ops": 0,
+            "evictions": 0,
+        }
+
+    def test_counts_track_activity(self):
+        client = make_client(cache_capacity=2)
+        for name in "abc":
+            fetch(client, DatumId.file(name), payload=b"x")
+        client.read(DatumId.file("d"), now=1.0)  # in flight
+        status = client.status(1.0)
+        assert status["leases"] == 2
+        assert status["cache_entries"] == 2
+        assert status["cache_floors"] == 3  # admission floors outlive eviction
+        assert status["requests"] == 1
+        assert status["fetching"] == 1
+        assert status["pending_ops"] == 1
+        assert status["evictions"] == 1
+
+
 class TestLeaseExpiryBounds:
     def test_expiry_anchored_at_send_time_minus_epsilon(self):
         client = make_client(epsilon=0.1)

@@ -129,6 +129,17 @@ class TestAggregation:
         assert engine.outstanding_requests() == 3
         assert engine.shard_counts[0] == 1 and engine.shard_counts[2] == 2
 
+    def test_status_sums_over_shards(self):
+        engine = ShardedClientEngine("c0", HOSTS)
+        datum_a, datum_b = datums_on_shards(engine.router, 1, 3)
+        engine.read(datum_a, 0.0)
+        engine.read(datum_b, 0.0)
+        status = engine.status(2.0)
+        assert status["now"] == 2.0
+        assert status["requests"] == 2
+        assert status["pending_ops"] == 2
+        assert status["leases"] == 0
+
     def test_startup_and_relinquish_cover_every_shard(self):
         engine = ShardedClientEngine("c0", HOSTS)
         # Bare engines boot with no pending work on any shard; both calls
